@@ -378,9 +378,15 @@ func (n *Node) closestPrecedingNode(target id.ID) *Node {
 // metric of the experiments is built from: len(path) messages are needed
 // to deliver one keyed message.
 func (n *Node) Lookup(target id.ID) (owner *Node, path []*Node) {
+	return n.LookupAppend(target, nil)
+}
+
+// LookupAppend is Lookup appending the hop path to path, so routing
+// hot paths can pass a reused scratch buffer and allocate nothing.
+func (n *Node) LookupAppend(target id.ID, path []*Node) (owner *Node, _ []*Node) {
 	// A node knows its own arc (pred, n]: keys there resolve locally.
 	if p := n.pred; p != nil && p.alive && id.BetweenRightIncl(target, p.id, n.id) {
-		return n, nil
+		return n, path
 	}
 	cur := n
 	for hops := 0; hops < 2*id.Bits; hops++ {

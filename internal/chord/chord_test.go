@@ -512,3 +512,20 @@ func TestSuccessorListRepairsAfterFail(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupAppendZeroAlloc: routing into a warmed path buffer — the
+// overlay's per-lane scratch — allocates nothing, and agrees with
+// Lookup hop for hop.
+func TestLookupAppendZeroAlloc(t *testing.T) {
+	r := buildRing(t, 256, 7)
+	nodes := r.Nodes()
+	from, target := nodes[3], id.HashKey("S+A+42")
+	owner, want := from.Lookup(target)
+	got, path := from.LookupAppend(target, make([]*Node, 0, 1))
+	if got != owner || fmt.Sprint(path) != fmt.Sprint(want) {
+		t.Fatalf("LookupAppend = %v via %v, Lookup = %v via %v", got, path, owner, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, path = from.LookupAppend(target, path[:0]) }); n != 0 {
+		t.Fatalf("LookupAppend into a warmed buffer made %v allocations, want 0", n)
+	}
+}

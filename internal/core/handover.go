@@ -104,7 +104,7 @@ func buildFullHandover(p *Proc, to id.ID) []*handoverMsg {
 		c := b.chunk()
 		c.Aggs = append(c.Aggs, handedAgg{Key: key, G: p.aggs[key]})
 	}
-	p.queries = make(map[relation.Key][]*storedQuery)
+	p.queries = make(map[relation.Key][]storedQuery)
 	p.tuples = make(map[relation.Key][]*relation.Tuple)
 	p.altt = make(map[relation.Key][]alttEntry)
 	p.aggs = make(map[relation.Key]*aggGroup)
@@ -254,8 +254,7 @@ func (p *Proc) onHandover(now sim.Time, m *handoverMsg) {
 			}
 			continue
 		}
-		p.queries[sq.key] = append(p.queries[sq.key], sq)
-		p.replQueryAdd(sq) // handed-over state re-replicates at its new home
+		p.addStored(sq) // handed-over state re-replicates at its new home
 	}
 	for _, h := range m.Tuples {
 		if canForward && !p.ownsKey(h.Key) {

@@ -29,9 +29,16 @@ func newTupleMsg(t *relation.Tuple, key relation.Key, level query.Level, publish
 	return m
 }
 
+// newEvalMsg copies the piggy-backed reports into the message (its
+// inline buffer when they fit): the caller's slice is placement
+// scratch, reused by the sender's next placement while this message is
+// in flight — or, in unreliable mode, retained for retransmission.
 func newEvalMsg(q *query.Query, key relation.Key, level query.Level, ric []ricInfo) *evalMsg {
 	m := evalMsgPool.Get().(*evalMsg)
-	*m = evalMsg{Q: q, Key: key, Level: level, RIC: ric}
+	*m = evalMsg{Q: q, Key: key, Level: level}
+	if len(ric) > 0 {
+		m.RIC = append(m.ricBuf[:0], ric...)
+	}
 	return m
 }
 
@@ -66,7 +73,13 @@ type evalMsg struct {
 	Level    query.Level
 	RIC      []ricInfo
 	Reroutes uint8
+
+	ricBuf [evalRICInline]ricInfo // RIC's storage when it fits
 }
+
+// evalRICInline is how many piggy-backed reports an evalMsg carries
+// without a separate allocation; candidate sets rarely exceed it.
+const evalRICInline = 4
 
 // RingKey implements overlay.Rekeyable.
 func (m *evalMsg) RingKey() id.ID { return m.Key.ID() }
@@ -233,7 +246,7 @@ type handoverMsg struct {
 	To   id.ID
 	Hops uint8 // forwarding steps taken by entries that missed their owner
 
-	Queries []*storedQuery
+	Queries []storedQuery
 	Tuples  []handedTuple
 	ALTT    []handedALTT
 	Stats   []handedStat

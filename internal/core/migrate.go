@@ -63,8 +63,8 @@ func (e *Engine) RehomeKeys() int {
 			// Replication identities are per-proc namespaces: a moved
 			// query must be re-numbered at its destination, or the
 			// resync snapshot would emit colliding sqIDs.
-			for _, sq := range list {
-				sq.replID = 0
+			for i := range list {
+				list[i].replID = 0
 			}
 			dst.queries[key] = append(dst.queries[key], list...)
 			delete(p.queries, key)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -94,10 +95,12 @@ type alttEntry struct {
 }
 
 // pendingPlacement is a query whose RIC walk is in flight; the decision
-// completes when the reply returns.
+// completes when the reply returns. known holds the candidate-table
+// hits of the walk's start (an owned copy of the placement scratch);
+// the candidates themselves are a pure function of the query and are
+// re-enumerated on reply.
 type pendingPlacement struct {
 	q     *query.Query
-	cands []query.Candidate
 	known []ricInfo
 }
 
@@ -131,7 +134,7 @@ type Proc struct {
 	sl    *metrics.Load // storage-load slot
 	rng   *sim.RNG      // placement draws (nil: use the engine source)
 
-	queries map[relation.Key][]*storedQuery    // by index key, both levels
+	queries map[relation.Key][]storedQuery     // by index key, both levels
 	tuples  map[relation.Key][]*relation.Tuple // value-level tuple store
 	altt    map[relation.Key][]alttEntry       // attribute-level tuple table
 	aggs    map[relation.Key]*aggGroup         // aggregator state by group key
@@ -146,13 +149,21 @@ type Proc struct {
 	// node maintains as a replica, keyed by origin.
 	repl        *procRepl
 	replInboxes map[id.ID]*replInbox
+
+	// Placement scratch, reused by every placement this node makes
+	// (a node's handlers never overlap, on either engine). Contents
+	// leave a placement only as copies: into a pendingPlacement, an
+	// evalMsg's piggy-backed set or a RIC walk's pending list.
+	cands   []query.Candidate
+	known   []ricInfo
+	unknown []relation.Key
 }
 
 func newProc(eng *Engine, node *chord.Node) *Proc {
 	p := &Proc{
 		eng:     eng,
 		node:    node,
-		queries: make(map[relation.Key][]*storedQuery),
+		queries: make(map[relation.Key][]storedQuery),
 		tuples:  make(map[relation.Key][]*relation.Tuple),
 		altt:    make(map[relation.Key][]alttEntry),
 		aggs:    make(map[relation.Key]*aggGroup),
@@ -381,7 +392,8 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 	list := p.queries[m.Key]
 	if len(list) > 0 {
 		kept := list[:0]
-		for _, sq := range list {
+		for i := range list {
+			sq := &list[i]
 			clock := sq.q.Window.Clock(m.T)
 			// Section 5 rule: a rewritten query found outside its
 			// window when triggered is deleted.
@@ -397,8 +409,9 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 				p.replQueryRemove(sq)
 				continue // relocated to a colder candidate
 			}
-			kept = append(kept, sq)
+			kept = append(kept, *sq)
 		}
+		clear(list[len(kept):]) // dropped entries must not stay reachable
 		if len(kept) == 0 {
 			delete(p.queries, m.Key)
 		} else {
@@ -559,8 +572,9 @@ func (p *Proc) storeTuple(now sim.Time, key relation.Key, t *relation.Tuple) {
 	cfg := p.eng.Cfg
 	if cfg.TupleGC && cfg.MaxWindowHint > 0 && len(p.tuples[key])%32 == 0 {
 		seqNow, timeNow := p.eng.pubSeq, int64(now)
-		kept := p.tuples[key][:0]
-		for _, old := range p.tuples[key] {
+		list := p.tuples[key]
+		kept := list[:0]
+		for _, old := range list {
 			// Conservative: drop only when out of reach on both clocks.
 			if seqNow-old.PubSeq > cfg.MaxWindowHint && timeNow-old.PubTime > cfg.MaxWindowHint {
 				p.ctr.TuplesCollected++
@@ -569,6 +583,10 @@ func (p *Proc) storeTuple(now sim.Time, key relation.Key, t *relation.Tuple) {
 			}
 			kept = append(kept, old)
 		}
+		// The collected tuples' slots past len would otherwise keep them
+		// reachable until overwritten. Nothing else aliases the store's
+		// backing array: scans range over it only within one handler.
+		clear(list[len(kept):])
 		p.tuples[key] = kept
 	}
 }
@@ -624,8 +642,7 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 			p.qpl.Add(p.node.ID(), 1)
 		}
 	} else {
-		p.queries[m.Key] = append(p.queries[m.Key], sq)
-		p.replQueryAdd(sq)
+		sq = p.addStored(*sq)
 		if pf := p.eng.prof; pf != nil {
 			sz := stateSizeOf(m.Q)
 			pf.Add(p.shard, m.Q.ID, m.Key.String(), profile.StoredQueries, 1)
@@ -650,6 +667,18 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 			p.scanTrigger(now, sq, e.t)
 		}
 	}
+}
+
+// addStored appends a stored query to its key's list, mirrors the
+// admission, and returns the stored element. Lists hold stored queries
+// by value, so the pointer is valid until the list next grows or is
+// compacted — within the calling handler, never across handlers.
+func (p *Proc) addStored(sq storedQuery) *storedQuery {
+	list := append(p.queries[sq.key], sq)
+	p.queries[sq.key] = list
+	stored := &list[len(list)-1]
+	p.replQueryAdd(stored)
+	return stored
 }
 
 // scanTrigger applies one locally stored tuple to a just-arrived query
@@ -738,7 +767,7 @@ func (p *Proc) maybeMigrate(now sim.Time, sq *storedQuery) bool {
 	// arrive with piggy-backed RIC info); migration is a local
 	// decision, exactly like initial placement.
 	best, found := 0.0, false
-	for _, c := range sq.q.Candidates() {
+	for _, c := range p.candidates(sq.q) {
 		if c.Level != query.ValueLevel || c.Key == sq.key {
 			continue
 		}
@@ -765,7 +794,7 @@ func mergeExclude(exclude, combined []int64) []int64 {
 		return exclude
 	}
 	merged := append(exclude, combined...)
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
+	slices.Sort(merged)
 	out := merged[:0]
 	for i, v := range merged {
 		if i == 0 || v != merged[i-1] {
@@ -818,22 +847,7 @@ func (p *Proc) dispatch(now sim.Time, q2 *query.Query, pubAt int64) {
 // place implements nextKey(): choose the index candidate for a query
 // according to the engine's strategy and send the Eval message.
 func (p *Proc) place(now sim.Time, q *query.Query) {
-	cands := q.Candidates()
-	if q.Depth > 0 && !p.eng.Cfg.AllowAttrRewrites {
-		// Default rule (Section 3): rewritten queries are indexed at
-		// value level, where tuple stores are unbounded. See
-		// Config.AllowAttrRewrites for the Section 6 generalization.
-		// Candidates returned a fresh slice, so filter it in place.
-		vcands := cands[:0]
-		for _, c := range cands {
-			if c.Level == query.ValueLevel {
-				vcands = append(vcands, c)
-			}
-		}
-		if len(vcands) > 0 {
-			cands = vcands
-		}
-	}
+	cands := p.placementCandidates(q)
 	if len(cands) == 0 {
 		p.ctr.UnplaceableDropped++
 		query.Release(q)
@@ -862,13 +876,43 @@ func (p *Proc) place(now sim.Time, q *query.Query) {
 	}
 }
 
+// candidates enumerates q's index candidates into the processor's
+// scratch buffer. The result is valid until the next enumeration.
+func (p *Proc) candidates(q *query.Query) []query.Candidate {
+	p.cands = q.AppendCandidates(p.cands[:0])
+	return p.cands
+}
+
+// placementCandidates is candidates restricted to the keys placement
+// may choose (scratch, valid until the next enumeration).
+func (p *Proc) placementCandidates(q *query.Query) []query.Candidate {
+	cands := p.candidates(q)
+	if q.Depth > 0 && !p.eng.Cfg.AllowAttrRewrites {
+		// Default rule (Section 3): rewritten queries are indexed at
+		// value level, where tuple stores are unbounded. See
+		// Config.AllowAttrRewrites for the Section 6 generalization.
+		// The scratch is ours, so filter it in place; with no value
+		// level candidate the filter moved nothing and the full set
+		// stands.
+		vcands := cands[:0]
+		for _, c := range cands {
+			if c.Level == query.ValueLevel {
+				vcands = append(vcands, c)
+			}
+		}
+		if len(vcands) > 0 {
+			cands = vcands
+		}
+	}
+	return cands
+}
+
 // placeRIC is Sections 6–7: consult the candidate table for fresh RIC
 // info, poll only unknown candidates with a chained RIC request, and on
 // reply index the query at the candidate with the lowest predicted
 // rate, directly (one hop) because the reply carried its address.
 func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
-	var known []ricInfo
-	var unknown []relation.Key
+	known, unknown := p.known[:0], p.unknown[:0]
 	tr := p.eng.trace
 	for _, c := range cands {
 		if p.eng.Cfg.UseCT {
@@ -897,18 +941,18 @@ func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 		}
 		unknown = append(unknown, c.Key)
 	}
+	p.known, p.unknown = known[:0], unknown[:0] // keep grown capacity
 	if len(unknown) == 0 {
 		p.decide(q, cands, known)
 		return
 	}
 	// Visit unknown candidates in clockwise ring order from here (the
 	// "optimal order to contact these nodes").
-	sort.Slice(unknown, func(i, j int) bool {
-		return id.Dist(p.node.ID(), unknown[i].ID()) <
-			id.Dist(p.node.ID(), unknown[j].ID())
+	slices.SortFunc(unknown, func(a, b relation.Key) int {
+		return cmp.Compare(id.Dist(p.node.ID(), a.ID()), id.Dist(p.node.ID(), b.ID()))
 	})
 	reqID := p.nextReqID()
-	p.pending[reqID] = &pendingPlacement{q: q, cands: cands, known: known}
+	p.pending[reqID] = &pendingPlacement{q: q, known: slices.Clone(known)}
 	p.replPendingAdd(reqID, q)
 	p.ctr.RICRequests++
 	if tr != nil {
@@ -921,7 +965,7 @@ func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 			Trace: q.ID, Key: unknown[0].String(), Arg: int64(len(unknown)),
 		})
 	}
-	req := &ricRequestMsg{Origin: p.node.ID(), ReqID: reqID, Pending: unknown}
+	req := &ricRequestMsg{Origin: p.node.ID(), ReqID: reqID, Pending: slices.Clone(unknown)}
 	p.eng.net.WithTag(p.node, TagRIC, func() {
 		p.eng.net.Send(p.node, unknown[0].ID(), req)
 	})
@@ -971,7 +1015,7 @@ func (p *Proc) onRICReply(now sim.Time, m *ricReplyMsg) {
 		p.ctMerge(info)
 		pp.known = append(pp.known, info)
 	}
-	p.decide(pp.q, pp.cands, pp.known)
+	p.decide(pp.q, p.placementCandidates(pp.q), pp.known)
 }
 
 // decide picks the candidate with the lowest predicted rate (ties
@@ -998,8 +1042,9 @@ func (p *Proc) decide(q *query.Query, cands []query.Candidate, known []ricInfo) 
 		// Every known report concerns a candidate key (CT hits come
 		// from the candidate scan, walk replies cover exactly the
 		// unknown candidates), so the piggy-backed set is the known
-		// set itself — no copy needed. Receivers only merge it into
-		// their candidate tables, which is order-insensitive.
+		// set itself; newEvalMsg copies it out of the scratch.
+		// Receivers only merge it into their candidate tables, which
+		// is order-insensitive.
 		piggy = known
 	}
 	p.sendEval(q, best, piggy, haveBest)

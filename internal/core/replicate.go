@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"rjoin/internal/agg"
 	"rjoin/internal/chord"
@@ -120,6 +121,48 @@ type replUpdateMsg struct {
 // discards it (To no longer matches) — the repair pass has already
 // superseded the stream with a fresh snapshot.
 func (m *replUpdateMsg) RingKey() id.ID { return m.To }
+
+// Replica-update batches are pooled together with their Ops buffers.
+// Every batch owns its Ops (no two messages share a backing array) and
+// is delivered by Transfer, which never retains a copy for
+// retransmission, so the replica recycles a batch as soon as it has
+// applied it — possibly later than its arrival, when the inbox buffered
+// it out of order. Batches dropped unapplied (stale, bounced to a node
+// that no longer hosts the stream) fall to the garbage collector.
+var replUpdateMsgPool = sync.Pool{New: func() interface{} { return new(replUpdateMsg) }}
+
+// newReplUpdateMsg returns a pooled batch carrying a copy of ops.
+func newReplUpdateMsg(from, to id.ID, gen, first int64, ops []replOp) *replUpdateMsg {
+	m := replUpdateMsgPool.Get().(*replUpdateMsg)
+	*m = replUpdateMsg{From: from, To: to, Gen: gen, First: first, Reset: first == 1, Ops: append(m.Ops[:0], ops...)}
+	return m
+}
+
+// recycle returns an applied batch to the pool, dropping the references
+// its operations hold.
+func (m *replUpdateMsg) recycle() {
+	ops := clearOps(m.Ops)
+	*m = replUpdateMsg{Ops: ops}
+	replUpdateMsgPool.Put(m)
+}
+
+// replKeepOps caps the operation buffers kept for reuse. A handler
+// batch holds a few operations; the rare large batch (a snapshot chunk,
+// a promotion or handover re-replicating a whole store) would pin
+// hundreds of kilobytes in an outbox or a pooled message long after it
+// was shipped, so its buffer is left to the garbage collector instead.
+const replKeepOps = 16
+
+// clearOps empties an operation buffer for reuse, dropping the
+// references its operations hold, or discards it when it is too large
+// to keep.
+func clearOps(ops []replOp) []replOp {
+	if cap(ops) > replKeepOps {
+		return nil
+	}
+	clear(ops)
+	return ops[:0]
+}
 
 // procRepl is the origin-side replication state of one processor.
 type procRepl struct {
@@ -371,33 +414,29 @@ func (p *Proc) replDropKey(key relation.Key) {
 
 // replFlush ships the handler batch to every replica target: one
 // message per target, each stamped with that stream's generation and
-// next sequence range. The ops slice is shared read-only across the
-// copies; anything a mirror must own is copied at application time.
-// Runs at the end of every message handler and after coordinator-side
-// mutations (promotion, handover construction).
+// next sequence range and owning a copy of the batch (see
+// replUpdateMsgPool). The outbox is then truncated, not reallocated:
+// the next handler reuses its buffer. Anything a mirror must own
+// beyond a batch's lifetime is copied at application time. Runs at the
+// end of every message handler and after coordinator-side mutations
+// (promotion, handover construction).
 func (p *Proc) replFlush() {
 	if p.repl == nil || len(p.repl.outbox) == 0 {
 		return
 	}
 	ops := p.repl.outbox
-	p.repl.outbox = nil
-	targets := p.repl.links.Targets()
-	if len(targets) == 0 {
-		// No replica group exists (ring smaller than the factor); the
-		// repair pass snapshots everything when one forms.
-		return
+	// With no replica group (ring smaller than the factor) the batch is
+	// simply dropped; the repair pass snapshots everything when one
+	// forms.
+	if targets := p.repl.links.Targets(); len(targets) > 0 {
+		p.ctr.ReplUpdates += int64(len(targets))
+		p.ctr.ReplOps += int64(len(ops) * len(targets))
+		p.eng.net.ReplicateTo(p.node, targets, func(tgt id.ID) overlay.Message {
+			s := p.repl.links.Stream(tgt)
+			return newReplUpdateMsg(p.node.ID(), tgt, s.Gen(), s.Next(len(ops)), ops)
+		})
 	}
-	p.ctr.ReplUpdates += int64(len(targets))
-	p.ctr.ReplOps += int64(len(ops) * len(targets))
-	p.eng.net.ReplicateTo(p.node, targets, func(tgt id.ID) overlay.Message {
-		s := p.repl.links.Stream(tgt)
-		first := s.Next(len(ops))
-		return &replUpdateMsg{
-			From: p.node.ID(), To: tgt,
-			Gen: s.Gen(), First: first, Reset: first == 1,
-			Ops: ops,
-		}
-	})
+	p.repl.outbox = clearOps(ops)
 }
 
 // ---------------------------------------------------------------------
@@ -418,13 +457,15 @@ func (p *Proc) onReplUpdate(now sim.Time, m *replUpdateMsg) {
 		p.replInboxes[m.From] = ib
 	}
 	pre := ib.in.Stale
-	for _, d := range ib.in.Offer(m.Gen, m.Reset, m.First, len(m.Ops), m.Ops) {
+	for _, d := range ib.in.Offer(m.Gen, m.Reset, m.First, len(m.Ops), m) {
 		if d.Reset {
 			ib.mirror = newReplMirror()
 		}
-		for i := range d.Payload.([]replOp) {
-			ib.mirror.apply(p, &d.Payload.([]replOp)[i], now)
+		b := d.Payload.(*replUpdateMsg)
+		for i := range b.Ops {
+			ib.mirror.apply(p, &b.Ops[i], now)
 		}
+		b.recycle()
 	}
 	p.ctr.ReplStale += ib.in.Stale - pre
 }
@@ -448,7 +489,7 @@ func (mr *replMirror) apply(p *Proc, op *replOp, now sim.Time) {
 		list := mr.queries[mq.key]
 		for i, e := range list {
 			if e == mq {
-				mr.queries[mq.key] = append(list[:i], list[i+1:]...)
+				mr.queries[mq.key] = slices.Delete(list, i, i+1) // clears the vacated slot
 				break
 			}
 		}
@@ -552,7 +593,9 @@ func (mr *replMirror) apply(p *Proc, op *replOp, now sim.Time) {
 		list := mr.tuples[op.key]
 		for i, t := range list {
 			if t.PubSeq == op.pubSeq {
-				mr.tuples[op.key] = append(list[:i], list[i+1:]...)
+				// slices.Delete clears the vacated tail slot, so the
+				// collected tuple does not stay reachable past len.
+				mr.tuples[op.key] = slices.Delete(list, i, i+1)
 				break
 			}
 		}
@@ -695,11 +738,7 @@ func (e *Engine) replSendSnapshot(p *Proc, tgt id.ID) {
 			first := s.Next(n)
 			p.ctr.ReplUpdates++
 			p.ctr.ReplOps += int64(n)
-			e.net.Transfer(p.node, tgt, &replUpdateMsg{
-				From: p.node.ID(), To: tgt,
-				Gen: s.Gen(), First: first, Reset: first == 1,
-				Ops: chunk,
-			})
+			e.net.Transfer(p.node, tgt, newReplUpdateMsg(p.node.ID(), tgt, s.Gen(), first, chunk))
 		}
 	})
 }
@@ -710,7 +749,9 @@ func (e *Engine) replSendSnapshot(p *Proc, tgt id.ID) {
 func (p *Proc) replSnapshotOps() []replOp {
 	var ops []replOp
 	for _, key := range sortedStateKeys(p.queries) {
-		for _, sq := range p.queries[key] {
+		list := p.queries[key]
+		for i := range list {
+			sq := &list[i]
 			if sq.replID == 0 {
 				p.repl.sqCtr++
 				sq.replID = p.repl.sqCtr
@@ -908,12 +949,10 @@ func (e *Engine) promoteMirror(p *Proc, ib *replInbox, now sim.Time) {
 			if e.retiredQ[mq.q.ID] {
 				continue // torn-down shared pipeline: do not resurrect
 			}
-			sq := &storedQuery{
+			p.addStored(storedQuery{
 				q: mq.q, key: mq.key, level: mq.level, agg: mq.q.IsAggregate(),
 				seen: mq.seen, combined: mq.combined, triggers: len(mq.combined),
-			}
-			p.queries[key] = append(p.queries[key], sq)
-			p.replQueryAdd(sq)
+			})
 			p.ctr.ReplEntriesPromoted++
 			if mq.q.Depth == 0 && !mq.q.OneTime {
 				p.ctr.QueriesRecovered++
@@ -976,7 +1015,7 @@ func (e *Engine) promoteMirror(p *Proc, ib *replInbox, now sim.Time) {
 		for reqID := range mr.pending {
 			reqIDs = append(reqIDs, reqID)
 		}
-		sort.Slice(reqIDs, func(i, j int) bool { return reqIDs[i] < reqIDs[j] })
+		slices.Sort(reqIDs)
 		p.eng.net.WithTag(p.node, TagChurn, func() {
 			for _, reqID := range reqIDs {
 				q := mr.pending[reqID]

@@ -234,14 +234,15 @@ func (e *Engine) sweepPipeline(qid string) {
 		for _, key := range sortedStateKeys(p.queries) {
 			list := p.queries[key]
 			kept := list[:0]
-			for _, sq := range list {
-				if sq.q.ID == qid {
+			for i := range list {
+				if sq := &list[i]; sq.q.ID == qid {
 					p.replQueryRemove(sq)
 					touched = true
 					continue
 				}
-				kept = append(kept, sq)
+				kept = append(kept, list[i])
 			}
+			clear(list[len(kept):])
 			if len(kept) == 0 {
 				delete(p.queries, key)
 			} else {
@@ -349,19 +350,17 @@ func (p *Proc) fanoutComplete(now sim.Time, fo *share.Fanout, vals []relation.Va
 // row's minimum publication time so downstream subscriber filtering
 // stays exact; they are never stored, only substituted.
 func (p *Proc) spawnContainment(now sim.Time, kid *share.Kid, vals []relation.Value, clock, minPub, pubAt int64, lin []query.LineageStep) {
+	// Intermediate rewrites are not released: each child shares its
+	// parent's untouched slices, which may live in the parent's block.
 	cur := kid.Pipeline
-	owned := false
 	for _, rs := range kid.Rels {
 		t := relation.MustTuple(rs.Schema, vals[rs.Off:rs.Off+rs.Schema.Arity()]...)
 		t.PubTime = minPub
 		next, ok := query.Rewrite(cur, t)
-		if owned {
-			query.Release(cur)
-		}
 		if !ok {
 			return // a child-stricter conjunct rejected the row
 		}
-		cur, owned = next, true
+		cur = next
 	}
 	cur.MinPub = minPub
 	cur.AggClock = clock

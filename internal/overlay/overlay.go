@@ -25,8 +25,9 @@
 package overlay
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -117,6 +118,7 @@ type lane struct {
 	tagged       map[string]*metrics.Load
 	tag          string
 	legs         []leg
+	path         []*chord.Node
 	outboxes     map[id.ID]*outbox
 	messagesSent int64
 	delivered    int64
@@ -150,7 +152,8 @@ type Network struct {
 	tagged   map[string]*metrics.Load
 	tag      string
 	outboxes map[id.ID]*outbox
-	legs     []leg // scratch for grouped multiSend, reused across calls
+	legs     []leg         // scratch for grouped multiSend, reused across calls
+	path     []*chord.Node // scratch for lookup hop paths, reused across calls
 
 	par   bool               // parallel engine: lane-per-shard accounting
 	lanes []lane             // one per logical shard when par
@@ -669,10 +672,23 @@ func (nw *Network) Send(from *chord.Node, key id.ID, msg Message) *chord.Node {
 
 // sendNow performs an immediate routed delivery, bypassing batching.
 func (nw *Network) sendNow(a actor, from *chord.Node, key id.ID, msg Message) *chord.Node {
-	owner, path := from.Lookup(key)
+	owner, path := nw.lookup(a, from, key)
 	delay := nw.chargePath(a, from, path)
 	nw.deliverFrom(a, from, owner, delay, msg)
 	return owner
+}
+
+// lookup routes from a node to a key's owner, appending the hop path to
+// the acting lane's scratch buffer. The path is valid until the lane's
+// next lookup; chargePath consumes it before then.
+func (nw *Network) lookup(a actor, from *chord.Node, key id.ID) (*chord.Node, []*chord.Node) {
+	scratch := &nw.path
+	if a.l != nil {
+		scratch = &a.l.path
+	}
+	owner, path := from.LookupAppend(key, (*scratch)[:0])
+	*scratch = path
+	return owner, path
 }
 
 // outboxFor returns the acting context's outbox map.
@@ -856,13 +872,13 @@ func (nw *Network) multiSendNow(a actor, from *chord.Node, msgs []Message, keys 
 	for j := range msgs {
 		legs = append(legs, leg{keys[j], msgs[j]})
 	}
-	sort.Slice(legs, func(i, j int) bool {
-		return id.Dist(from.ID(), legs[i].key) < id.Dist(from.ID(), legs[j].key)
+	slices.SortFunc(legs, func(x, y leg) int {
+		return cmp.Compare(id.Dist(from.ID(), x.key), id.Dist(from.ID(), y.key))
 	})
 	cur := from
 	var accumulated int64
 	for _, lg := range legs {
-		owner, path := cur.Lookup(lg.key)
+		owner, path := nw.lookup(a, cur, lg.key)
 		accumulated += nw.chargePath(a, cur, path)
 		// The reliable channel is end-to-end: the origin retains and
 		// retransmits, even for legs forwarded along the ring.

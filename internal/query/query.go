@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"rjoin/internal/relation"
 )
@@ -269,6 +268,10 @@ type Query struct {
 	// every other untouched slice), so appends MUST go through
 	// AppendLineage, which always copies into a fresh slice.
 	Lineage []LineageStep
+
+	// blk is the rewrite block this header lives in (nil for input
+	// queries and clones); Release recycles it.
+	blk rewriteBlock
 }
 
 // LineageStep records one tuple a rewrite chain combined: the base
@@ -320,8 +323,11 @@ func (q *Query) Excluded(pubSeq int64) bool {
 }
 
 // Clone returns a deep copy; rewriting never mutates a stored query.
+// The copy is a plain allocation, never a rewrite block, so releasing
+// it cannot recycle q.
 func (q *Query) Clone() *Query {
 	c := *q
+	c.blk = nil
 	c.Select = append([]SelectItem(nil), q.Select...)
 	c.Relations = append([]string(nil), q.Relations...)
 	c.Joins = append([]JoinCond(nil), q.Joins...)
@@ -402,22 +408,6 @@ func (q *Query) Matches(t *relation.Tuple) bool {
 	return true
 }
 
-// rewritePool recycles rewrite-churned Query structs. A triggered
-// rewrite that completes into an answer or turns out contradictory
-// lives for a few microseconds; recycling the struct keeps the rewrite
-// hot path free of per-trigger header allocations. Only the struct is
-// pooled — slices are either shared with the parent (copy-on-write) or
-// freshly sized for the child.
-var rewritePool = sync.Pool{New: func() interface{} { return new(Query) }}
-
-// Release returns a rewritten query to the free list. Callers must
-// guarantee no reference to q escaped (e.g. a rewrite that was dropped
-// without being sent anywhere). Shared parent slices are unaffected.
-func Release(q *Query) {
-	*q = Query{}
-	rewritePool.Put(q)
-}
-
 // RewriteComplete performs the final rewriting step for a query whose
 // FROM list holds exactly one remaining relation: substituting a
 // triggering tuple completes the query, so the answer row is produced
@@ -456,60 +446,42 @@ func RewriteComplete(q *Query, t *relation.Tuple) ([]relation.Value, bool) {
 // t does not trigger q. The caller is responsible for window-validity
 // checks and for setting Start on the result.
 //
-// The result is copy-on-write: slices the substitution leaves untouched
-// (Select when no column of rel appears, Joins when no conjunct touches
-// rel, Selections when nothing is added or dropped, and always Exclude)
-// are shared with the parent. Neither parent nor child is ever mutated
-// after creation, so sharing is safe; anyone who needs an independent
-// deep copy uses Clone.
+// The result is one allocation (see block.go) and copy-on-write: slices
+// the substitution leaves untouched (Select when no column of rel
+// appears, Selections when nothing is added or dropped, and always
+// Exclude, GroupBy and Lineage) are shared with the parent, and so are
+// the FROM list and the join list when the substitution only trims
+// them at an end. Neither parent nor child is ever mutated after
+// creation, so sharing is safe; anyone who needs an independent deep
+// copy uses Clone.
 func Rewrite(q *Query, t *relation.Tuple) (*Query, bool) {
 	if !q.Matches(t) {
 		return nil, false
 	}
 	rel := t.Relation()
-	out := rewritePool.Get().(*Query)
-	*out = *q // scalars copied, slice headers shared
-	out.Depth = q.Depth + 1
 
-	// FROM list loses the substituted relation.
-	rels := make([]string, 0, len(q.Relations)-1)
-	for _, r := range q.Relations {
-		if r != rel {
-			rels = append(rels, r)
-		}
-	}
-	out.Relations = rels
-
-	// Select columns of rel become constants; untouched lists stay
-	// shared with the parent. Substitution sets only IsConst/Const, so
-	// an aggregate item keeps its Agg marker (the aggregation layer
-	// recognises the completed query by it) and the column it came from.
-	for i, s := range q.Select {
+	// Size the child in one pass over each clause list.
+	nSel := 0
+	for _, s := range q.Select {
 		if !s.IsConst && s.Col.Rel == rel {
-			sel := make([]SelectItem, len(q.Select))
-			copy(sel, q.Select)
-			for k := i; k < len(sel); k++ {
-				if sc := sel[k]; !sc.IsConst && sc.Col.Rel == rel {
-					v, ok := t.Value(sc.Col.Attr)
-					if !ok {
-						Release(out)
-						return nil, false
-					}
-					sel[k].IsConst = true
-					sel[k].Const = v
-				}
-			}
-			out.Select = sel
+			nSel = len(q.Select) // a substituted column: the child copies the list
 			break
 		}
 	}
-
-	// Size the surviving clauses in one counting pass: join conjuncts
-	// with one side on rel become selections on the other side,
-	// conjuncts fully on rel were validated by Matches and are dropped,
-	// and selections on rel are likewise validated and dropped.
-	keptJoins, converted := 0, 0
-	for _, j := range q.Joins {
+	ri := 0
+	for ri < len(q.Relations) && q.Relations[ri] != rel {
+		ri++
+	}
+	nRels := 0
+	if ri > 0 && ri < len(q.Relations)-1 {
+		nRels = len(q.Relations) - 1 // rel in the middle: the child copies the list
+	}
+	// Join conjuncts with one side on rel become selections on the
+	// other side; conjuncts fully on rel were validated by Matches and
+	// are dropped, and selections on rel are likewise validated and
+	// dropped. Kept joins that form one contiguous run are shared.
+	keptJoins, converted, jLo, jHi := 0, 0, -1, -1
+	for i, j := range q.Joins {
 		lOn, rOn := j.Left.Rel == rel, j.Right.Rel == rel
 		switch {
 		case lOn && rOn:
@@ -517,6 +489,10 @@ func Rewrite(q *Query, t *relation.Tuple) (*Query, bool) {
 			converted++
 		default:
 			keptJoins++
+			if jLo < 0 {
+				jLo = i
+			}
+			jHi = i + 1
 		}
 	}
 	keptSels := 0
@@ -525,8 +501,58 @@ func Rewrite(q *Query, t *relation.Tuple) (*Query, bool) {
 			keptSels++
 		}
 	}
+	nSels := 0
+	if converted > 0 || keptSels < len(q.Selections) {
+		nSels = keptSels + converted
+	}
 
-	if keptJoins < len(q.Joins) {
+	out, sel, rels, sels := newBlock(inlineLen(nSel, maxInlineSelect), inlineLen(nRels, maxInlineRels), inlineLen(nSels, maxInlineSels))
+	blk := out.blk
+	*out = *q // scalars copied, slice headers shared
+	out.blk = blk
+	out.Depth = q.Depth + 1
+
+	// FROM list loses the substituted relation.
+	switch n := len(q.Relations); {
+	case ri == 0:
+		out.Relations = q.Relations[1:n:n]
+	case ri == n-1:
+		out.Relations = q.Relations[: n-1 : n-1]
+	default:
+		rels = fill(rels, nRels)
+		copy(rels, q.Relations[:ri])
+		copy(rels[ri:], q.Relations[ri+1:])
+		out.Relations = rels
+	}
+
+	// Select columns of rel become constants. Substitution sets only
+	// IsConst/Const, so an aggregate item keeps its Agg marker (the
+	// aggregation layer recognises the completed query by it) and the
+	// column it came from.
+	if nSel > 0 {
+		sel = fill(sel, nSel)
+		copy(sel, q.Select)
+		for k := range sel {
+			if sc := sel[k]; !sc.IsConst && sc.Col.Rel == rel {
+				v, ok := t.Value(sc.Col.Attr)
+				if !ok {
+					Release(out)
+					return nil, false
+				}
+				sel[k].IsConst = true
+				sel[k].Const = v
+			}
+		}
+		out.Select = sel
+	}
+
+	switch {
+	case keptJoins == len(q.Joins):
+	case keptJoins == 0:
+		out.Joins = q.Joins[:0:0]
+	case jHi-jLo == keptJoins:
+		out.Joins = q.Joins[jLo:jHi:jHi]
+	default:
 		joins := make([]JoinCond, 0, keptJoins)
 		for _, j := range q.Joins {
 			if j.Left.Rel != rel && j.Right.Rel != rel {
@@ -538,29 +564,51 @@ func Rewrite(q *Query, t *relation.Tuple) (*Query, bool) {
 
 	if converted > 0 || keptSels < len(q.Selections) {
 		// Surviving selections keep clause order; selections converted
-		// from join conjuncts follow, in join order — the same ordering
-		// the pre-copy-on-write implementation produced.
-		sels := make([]SelCond, 0, keptSels+converted)
-		for _, s := range q.Selections {
-			if s.Col.Rel != rel {
-				sels = append(sels, s)
+		// from join conjuncts follow, in join order.
+		if nSels == 0 {
+			out.Selections = q.Selections[:0:0]
+		} else {
+			sels = fill(sels, nSels)[:0]
+			for _, s := range q.Selections {
+				if s.Col.Rel != rel {
+					sels = append(sels, s)
+				}
 			}
-		}
-		for _, j := range q.Joins {
-			lOn, rOn := j.Left.Rel == rel, j.Right.Rel == rel
-			switch {
-			case lOn && rOn:
-			case lOn:
-				v, _ := t.Value(j.Left.Attr)
-				sels = append(sels, SelCond{Col: j.Right, Val: v})
-			case rOn:
-				v, _ := t.Value(j.Right.Attr)
-				sels = append(sels, SelCond{Col: j.Left, Val: v})
+			for _, j := range q.Joins {
+				lOn, rOn := j.Left.Rel == rel, j.Right.Rel == rel
+				switch {
+				case lOn && rOn:
+				case lOn:
+					v, _ := t.Value(j.Left.Attr)
+					sels = append(sels, SelCond{Col: j.Right, Val: v})
+				case rOn:
+					v, _ := t.Value(j.Right.Attr)
+					sels = append(sels, SelCond{Col: j.Left, Val: v})
+				}
 			}
+			out.Selections = sels
 		}
-		out.Selections = sels
 	}
 	return out, true
+}
+
+// inlineLen is the inline array length a block reserves for a slice of
+// n elements: n itself up to the maximum, zero (fall back to make)
+// beyond it.
+func inlineLen(n, max int) int {
+	if n > max {
+		return 0
+	}
+	return n
+}
+
+// fill returns buf when it is the block's inline array for n elements,
+// or a fresh slice when n exceeded the inline maximum.
+func fill[T any](buf []T, n int) []T {
+	if len(buf) == n {
+		return buf
+	}
+	return make([]T, n)
 }
 
 // Level distinguishes the two indexing granularities of Section 3.
@@ -599,17 +647,22 @@ type Candidate struct {
 // selections) naturally yield only attribute-level candidates, matching
 // Section 3. The result is deduplicated and deterministically ordered
 // (joins and selections in clause order, implied triples last).
-func (q *Query) Candidates() []Candidate {
-	out := make([]Candidate, 0, 2*len(q.Joins)+len(q.Selections))
+func (q *Query) Candidates() []Candidate { return q.AppendCandidates(nil) }
+
+// AppendCandidates appends the Candidates enumeration to dst and
+// returns the extended slice. Hot paths pass a reused scratch buffer:
+// with enough capacity the enumeration allocates nothing.
+func (q *Query) AppendCandidates(dst []Candidate) []Candidate {
+	base := len(dst)
 	// Candidate sets are small (one or two per clause), so dedup by
 	// linear scan instead of a map — cheaper and allocation free.
 	add := func(c Candidate) {
-		for i := range out {
-			if out[i].Key == c.Key {
+		for i := base; i < len(dst); i++ {
+			if dst[i].Key == c.Key {
 				return
 			}
 		}
-		out = append(out, c)
+		dst = append(dst, c)
 	}
 	// (a) attribute-level pairs from join conjuncts.
 	for _, j := range q.Joins {
@@ -625,67 +678,104 @@ func (q *Query) Candidates() []Candidate {
 	}
 	// (c) implied triples: propagate selection values across join
 	// equivalence classes.
-	for _, imp := range q.impliedSelections() {
+	var buf [8]SelCond
+	for _, imp := range q.appendImplied(buf[:0]) {
 		add(Candidate{
 			Key:   relation.ValueKeyOf(imp.Col.Rel, imp.Col.Attr, imp.Val),
 			Level: ValueLevel, Col: imp.Col, Val: imp.Val,
 		})
 	}
-	return out
+	return dst
 }
 
-// impliedSelections computes selections logically implied by the where
-// clause: if R.A = v holds and R.A joins (transitively) with S.B, then
-// S.B = v is implied.
-func (q *Query) impliedSelections() []SelCond {
-	if len(q.Selections) == 0 || len(q.Joins) == 0 {
-		return nil
-	}
-	parent := make(map[ColRef]ColRef)
-	var find func(c ColRef) ColRef
-	find = func(c ColRef) ColRef {
-		p, ok := parent[c]
-		if !ok || p == c {
-			return c
-		}
-		root := find(p)
-		parent[c] = root
-		return root
-	}
-	union := func(a, b ColRef) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	cols := make(map[ColRef]bool)
+// joinClasses computes the join equivalence classes of q as a
+// union-find over the columns its join conjuncts mention: cols lists
+// the columns, parent[i] links column i towards its class root. Where
+// clauses are short, so columns are found by linear scan, and both
+// slices are appended to the caller's (stack) buffers.
+func (q *Query) joinClasses(cols []ColRef, parent []int) ([]ColRef, []int) {
 	for _, j := range q.Joins {
-		union(j.Left, j.Right)
-		cols[j.Left] = true
-		cols[j.Right] = true
+		var a, b int
+		cols, parent, a = classIndex(cols, parent, j.Left)
+		cols, parent, b = classIndex(cols, parent, j.Right)
+		if a, b = classRoot(parent, a), classRoot(parent, b); a != b {
+			parent[a] = b
+		}
 	}
-	classValue := make(map[ColRef]relation.Value)
-	explicit := make(map[ColRef]bool)
+	return cols, parent
+}
+
+// classIndex returns c's position, adding it as a singleton class if new.
+func classIndex(cols []ColRef, parent []int, c ColRef) ([]ColRef, []int, int) {
+	if i := colIndex(cols, c); i >= 0 {
+		return cols, parent, i
+	}
+	return append(cols, c), append(parent, len(parent)), len(cols)
+}
+
+// colIndex returns c's position in cols, or -1.
+func colIndex(cols []ColRef, c ColRef) int {
+	for i := range cols {
+		if cols[i] == c {
+			return i
+		}
+	}
+	return -1
+}
+
+func classRoot(parent []int, i int) int {
+	for parent[i] != i {
+		i = parent[i]
+	}
+	return i
+}
+
+// appendImplied appends the selections logically implied by the where
+// clause — if R.A = v holds and R.A joins (transitively) with S.B, then
+// S.B = v is implied — ordered by (Rel, Attr).
+func (q *Query) appendImplied(dst []SelCond) []SelCond {
+	if len(q.Selections) == 0 || len(q.Joins) == 0 {
+		return dst
+	}
+	var colBuf [16]ColRef
+	var parBuf [16]int
+	cols, parent := q.joinClasses(colBuf[:0], parBuf[:0])
+	// The value each class is pinned to (the last selection on it
+	// wins), and which joined columns carry an explicit selection.
+	var valBuf [16]relation.Value
+	var hasBuf, explBuf [16]bool
+	val, has, expl := valBuf[:0], hasBuf[:0], explBuf[:0]
+	for range cols {
+		val, has, expl = append(val, relation.Value{}), append(has, false), append(expl, false)
+	}
 	for _, s := range q.Selections {
-		classValue[find(s.Col)] = s.Val
-		explicit[s.Col] = true
-	}
-	var out []SelCond
-	for col := range cols {
-		if explicit[col] {
-			continue
-		}
-		if v, ok := classValue[find(col)]; ok {
-			out = append(out, SelCond{Col: col, Val: v})
+		if i := colIndex(cols, s.Col); i >= 0 {
+			r := classRoot(parent, i)
+			val[r], has[r] = s.Val, true
+			expl[i] = true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Col.Rel != out[j].Col.Rel {
-			return out[i].Col.Rel < out[j].Col.Rel
+	base := len(dst)
+	for i, col := range cols {
+		if r := classRoot(parent, i); !expl[i] && has[r] {
+			dst = append(dst, SelCond{Col: col, Val: val[r]})
 		}
-		return out[i].Col.Attr < out[j].Col.Attr
-	})
-	return out
+	}
+	// Insertion sort: implied sets hold a handful of columns, and the
+	// columns are distinct, so the order is total.
+	for i := base + 1; i < len(dst); i++ {
+		for k := i; k > base && colLess(dst[k].Col, dst[k-1].Col); k-- {
+			dst[k], dst[k-1] = dst[k-1], dst[k]
+		}
+	}
+	return dst
+}
+
+func colLess(a, b ColRef) bool {
+	if a.Rel != b.Rel {
+		return a.Rel < b.Rel
+	}
+	return a.Attr < b.Attr
 }
 
 // Contradictory reports whether the where clause is unsatisfiable
@@ -698,42 +788,27 @@ func (q *Query) Contradictory() bool {
 	if len(q.Selections) < 2 {
 		return false
 	}
-	// Without joins every column is its own class: compare selections
-	// pairwise (clauses are few) instead of building the union-find.
-	if len(q.Joins) == 0 {
-		for i, a := range q.Selections {
-			for _, b := range q.Selections[:i] {
-				if a.Col == b.Col && !a.Val.Equal(b.Val) {
-					return true
+	var colBuf [16]ColRef
+	var parBuf [16]int
+	cols, parent := q.joinClasses(colBuf[:0], parBuf[:0])
+	// Two selections conflict when they pin one class — the same
+	// column, or two joined columns — to different constants.
+	for i, a := range q.Selections {
+		ra := -1
+		if k := colIndex(cols, a.Col); k >= 0 {
+			ra = classRoot(parent, k)
+		}
+		for _, b := range q.Selections[:i] {
+			same := a.Col == b.Col
+			if !same && ra >= 0 {
+				if k := colIndex(cols, b.Col); k >= 0 {
+					same = classRoot(parent, k) == ra
 				}
 			}
+			if same && !a.Val.Equal(b.Val) {
+				return true
+			}
 		}
-		return false
-	}
-	parent := make(map[ColRef]ColRef)
-	var find func(c ColRef) ColRef
-	find = func(c ColRef) ColRef {
-		p, ok := parent[c]
-		if !ok || p == c {
-			return c
-		}
-		root := find(p)
-		parent[c] = root
-		return root
-	}
-	for _, j := range q.Joins {
-		ra, rb := find(j.Left), find(j.Right)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	classValue := make(map[ColRef]relation.Value)
-	for _, s := range q.Selections {
-		root := find(s.Col)
-		if v, ok := classValue[root]; ok && !v.Equal(s.Val) {
-			return true
-		}
-		classValue[root] = s.Val
 	}
 	return false
 }

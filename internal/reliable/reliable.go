@@ -26,6 +26,7 @@
 package reliable
 
 import (
+	"slices"
 	"sort"
 
 	"rjoin/internal/id"
@@ -133,6 +134,7 @@ type Inbox struct {
 	open    bool
 	killed  bool
 	pending []pendingBatch
+	out     []Delivery // Offer's result buffer, reused across calls
 
 	// Stale counts batches dropped as replays or superseded
 	// generations — the idempotency machinery's visible work.
@@ -172,7 +174,9 @@ func (b *Inbox) Kill() {
 // head if reset, operations [first, first+count). It returns the
 // batches this makes applicable, in application order — usually just
 // the offered one, but a batch that fills a buffered gap releases its
-// followers too, and a stale or replayed batch releases nothing.
+// followers too, and a stale or replayed batch releases nothing. The
+// result is the inbox's reused buffer, valid until the next Offer; a
+// steady in-order stream allocates nothing.
 func (b *Inbox) Offer(gen int64, reset bool, first int64, count int, payload any) []Delivery {
 	if b.killed {
 		b.Stale++
@@ -188,7 +192,7 @@ func (b *Inbox) Offer(gen int64, reset bool, first int64, count int, payload any
 	}
 	b.pending = append(b.pending, pendingBatch{gen: gen, reset: reset, first: first, count: count, payload: payload})
 
-	var out []Delivery
+	out := clearDeliveries(b.out)
 	for {
 		idx := -1
 		for i, p := range b.pending {
@@ -200,10 +204,11 @@ func (b *Inbox) Offer(gen int64, reset bool, first int64, count int, payload any
 			}
 		}
 		if idx < 0 {
+			b.out = out
 			return out
 		}
 		p := b.pending[idx]
-		b.pending = append(b.pending[:idx], b.pending[idx+1:]...)
+		b.pending = slices.Delete(b.pending, idx, idx+1) // clears the vacated slot
 		if p.reset && (p.gen > b.gen || !b.open) {
 			b.gen, b.applied, b.open = p.gen, 0, true
 			// Older-generation stragglers can never apply now.
@@ -215,6 +220,7 @@ func (b *Inbox) Offer(gen int64, reset bool, first int64, count int, payload any
 					b.Stale++
 				}
 			}
+			clear(b.pending[len(kept):])
 			b.pending = kept
 			out = append(out, Delivery{Reset: true, Payload: p.payload})
 		} else {
@@ -222,6 +228,13 @@ func (b *Inbox) Offer(gen int64, reset bool, first int64, count int, payload any
 		}
 		b.applied = p.first + int64(p.count) - 1
 	}
+}
+
+// clearDeliveries empties a delivery buffer for reuse, dropping the
+// payload references it holds.
+func clearDeliveries(out []Delivery) []Delivery {
+	clear(out)
+	return out[:0]
 }
 
 // Dedup is the receiver-side duplicate filter of one unordered reliable

@@ -165,3 +165,21 @@ func TestLinksSync(t *testing.T) {
 		t.Fatalf("steady-state sync: added %v removed %v", added, removed)
 	}
 }
+
+// TestInboxInOrderZeroAlloc: once warmed, an in-order stream releases
+// each batch through the inbox's reused result buffer without
+// allocating.
+func TestInboxInOrderZeroAlloc(t *testing.T) {
+	b := NewInbox()
+	payload := new(int)
+	b.Offer(1, true, 1, 1, payload)
+	next := int64(2)
+	if n := testing.AllocsPerRun(100, func() {
+		if got := b.Offer(1, false, next, 2, payload); len(got) != 1 || got[0].Payload != payload {
+			t.Fatalf("in-order batch at %d not released: %v", next, got)
+		}
+		next += 2
+	}); n != 0 {
+		t.Fatalf("in-order Offer made %v allocations, want 0", n)
+	}
+}
